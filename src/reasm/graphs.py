@@ -100,8 +100,11 @@ class Graph:
 
 def check_vertex_set(g: Graph, mask: int, what: str = "vertex set") -> None:
     """Reject masks that are not subsets of V(g)."""
-    if mask < 0 or mask & ~g.full_mask:
-        raise ValueError(f"{what} {vertices_of(mask & ~(-1 << 64))!r} not within 0..{g.n - 1}")
+    if mask < 0:
+        raise ValueError(f"{what} is a negative mask ({mask}), not a subset of 0..{g.n - 1}")
+    outside = mask & ~g.full_mask
+    if outside:
+        raise ValueError(f"{what} has vertex ids {vertices_of(outside)!r} not within 0..{g.n - 1}")
 
 
 def boundary_size(g: Graph, a: int) -> int:
@@ -122,7 +125,7 @@ def bridge_count(g: Graph, a: int, b: int) -> int:
     check_vertex_set(g, a)
     check_vertex_set(g, b)
     if a & b:
-        raise ValueError("bridge endpoints sets must be disjoint")
+        raise ValueError("bridge endpoint sets must be disjoint")
     total = 0
     rest = a
     while rest:
@@ -202,6 +205,16 @@ def edgeless_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     return Graph(n, frozenset())
+
+
+def is_clique(g: Graph, block: int) -> bool:
+    """True when every two vertices of block are adjacent."""
+    return all(g.adj[v] & block == block ^ (1 << v) for v in iter_bits(block))
+
+
+def is_independent(g: Graph, block: int) -> bool:
+    """True when no two vertices of block are adjacent."""
+    return all(g.adj[v] & block == 0 for v in iter_bits(block))
 
 
 def is_connected(g: Graph) -> bool:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, boundary_size, check_vertex_set, mask_of, vertices_of
+from .graphs import Graph, boundary_size, check_vertex_set, is_clique, mask_of, vertices_of
 
 MAX_BISECTION_N = 16
 MAX_COVER_N = 20
@@ -81,20 +81,6 @@ def bisection_type(bis: Bisection, x: int, y: int) -> bool:
 # -- clique covers ------------------------------------------------------------
 
 
-def _is_clique(g: Graph, block: int) -> bool:
-    for v in vertices_of(block):
-        if g.adj[v] & block != block ^ (1 << v):
-            return False
-    return True
-
-
-def _is_independent(g: Graph, block: int) -> bool:
-    for v in vertices_of(block):
-        if g.adj[v] & block:
-            return False
-    return True
-
-
 def verify_cover(g: Graph, blocks, sizes=None) -> bool:
     """Polynomial check: blocks partition V(g), each induces a complete graph,
     and (optionally) the block sizes match the given multiset."""
@@ -104,7 +90,7 @@ def verify_cover(g: Graph, blocks, sizes=None) -> bool:
         if union & block:
             return False
         union |= block
-        if not _is_clique(g, block):
+        if not is_clique(g, block):
             return False
     if union != g.full_mask:
         return False

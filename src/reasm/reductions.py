@@ -41,6 +41,8 @@ from .graphs import (
     complement,
     format_graph,
     induced_subgraph,
+    is_clique,
+    is_independent,
     mask_of,
     vertices_of,
 )
@@ -63,17 +65,6 @@ from .trees import ReassemblingTree, beta_via_edge_heights, measures
 
 class LemmaViolation(Exception):
     """A structural conclusion this reduction relies on failed to hold."""
-
-
-def _is_clique(g: Graph, block: int) -> bool:
-    for v in vertices_of(block):
-        if g.adj[v] & block != block ^ (1 << v):
-            return False
-    return True
-
-
-def _is_independent(g: Graph, block: int) -> bool:
-    return all(g.adj[v] & block == 0 for v in vertices_of(block))
 
 
 # -- augmented graph ----------------------------------------------------------
@@ -234,7 +225,7 @@ def clique_cover_from_beta_optimal(g: Graph, t: ReassemblingTree) -> tuple:
         raise ValueError("cover extraction needs a balanced tree")
     blocks = _grandchildren(t)
     for block in blocks:
-        if not _is_clique(g, block):
+        if not is_clique(g, block):
             raise LemmaViolation(
                 f"grandchild {list(vertices_of(block))} does not induce a complete graph"
             )
@@ -252,7 +243,7 @@ def independent_grandchildren_from_beta_max(g: Graph, t: ReassemblingTree) -> tu
         raise ValueError("grandchildren extraction needs a balanced tree")
     blocks = _grandchildren(t)
     for block in blocks:
-        if not _is_independent(g, block):
+        if not is_independent(g, block):
             raise LemmaViolation(
                 f"grandchild {list(vertices_of(block))} is not an independent set"
             )

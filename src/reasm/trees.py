@@ -54,8 +54,11 @@ def tree_violations(n: int, masks) -> list:
     problems = []
     seen = set()
     for m in collection:
-        if m <= 0 or m & ~full:
-            problems.append(f"cluster {_fmt(m & full)} is not a nonempty subset of 0..{n - 1}")
+        if m < 0:
+            problems.append(f"cluster mask {m} is negative, not a nonempty subset of 0..{n - 1}")
+        elif m == 0 or m & ~full:
+            outside = f" (vertex ids {_fmt(m & ~full)} out of range)" if m else ""
+            problems.append(f"cluster {_fmt(m)} is not a nonempty subset of 0..{n - 1}{outside}")
         elif m in seen:
             problems.append(f"duplicate cluster {_fmt(m)}")
         seen.add(m)

@@ -16,7 +16,9 @@ from reasm.graphs import (
     edgeless_graph,
     format_graph,
     induced_subgraph,
+    is_clique,
     is_connected,
+    is_independent,
     mask_of,
     parse_graph,
     path_graph,
@@ -224,6 +226,28 @@ def test_bridges_reject_overlap():
 def test_boundary_rejects_foreign_mask():
     with pytest.raises(ValueError):
         boundary_size(cycle_graph(4), 1 << 7)
+
+
+def test_foreign_mask_errors_name_the_offending_ids():
+    g = cycle_graph(8)
+    with pytest.raises(ValueError, match=r"vertex ids \(70,\) not within 0..7"):
+        boundary_size(g, 1 << 70)
+    with pytest.raises(ValueError, match=r"vertex ids \(8, 9\) not within 0..7"):
+        bridge_count(g, 0b11_0000_0001, 2)
+    with pytest.raises(ValueError, match=r"negative mask \(-1\)"):
+        boundary_size(g, -1)
+    with pytest.raises(ValueError, match="bridge endpoint sets must be disjoint"):
+        bridge_count(g, 3, 6)
+
+
+def test_clique_and_independence_checks():
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    assert is_clique(g, mask_of([0, 1, 2]))
+    assert not is_clique(g, mask_of([0, 1, 3]))
+    assert is_independent(g, mask_of([0, 3]))
+    assert not is_independent(g, mask_of([2, 3, 4]))
+    assert is_clique(g, 0) and is_independent(g, 0)
+    assert is_clique(g, 1 << 4) and is_independent(g, 1 << 4)
 
 
 @given(graph_with_disjoint_sets(parts=3))

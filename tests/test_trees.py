@@ -79,6 +79,13 @@ def test_violations_catch_bad_clusters():
     assert any("missing root" in p for p in tree_violations(2, [1, 2]))
 
 
+def test_out_of_range_cluster_names_the_bad_vertex():
+    clusters = [[0], [1], [2], [3], [0, 1], [2, 3], [0, 1, 2, 3, 9]]
+    with pytest.raises(InvalidTreeError, match=r"\{0,1,2,3,9\}.*vertex ids \{9\} out of range"):
+        ReassemblingTree.from_clusters(4, clusters)
+    assert tree_violations(2, [-3, 1, 2, 3]) == ["cluster mask -3 is negative, not a nonempty subset of 0..1"]
+
+
 def test_ambiguous_partner_is_rejected():
     # {0} could merge with {1} or with {2}: both unions are present.
     masks = [1, 2, 4, 3, 5, 6, 7]
