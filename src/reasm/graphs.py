@@ -17,15 +17,20 @@ from functools import cached_property
 
 
 def mask_of(vertices) -> int:
-    """Bitmask for an iterable of vertex ids."""
+    """Bitmask for an iterable of vertex ids. Each id must be a non-negative
+    int; a bool, a float, a string or a negative int raises ValueError."""
     m = 0
     for v in vertices:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"vertex id {v!r} is not a non-negative int")
         m |= 1 << v
     return m
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Sorted vertex ids of a bitmask."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative, not a vertex set")
     out = []
     while mask:
         low = mask & -mask
@@ -36,6 +41,8 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 def iter_bits(mask: int):
     """Yield the set bit positions of mask in increasing order."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative, not a vertex set")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

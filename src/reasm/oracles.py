@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, boundary_size, check_vertex_set, is_clique, mask_of, vertices_of
+from .graphs import Graph, boundary_size, check_vertex_set, is_clique, vertices_of
 
 MAX_BISECTION_N = 16
 MAX_COVER_N = 20
@@ -59,8 +59,8 @@ def min_bisections(g: Graph):
         raise ValueError(f"bisection oracle is capped at n <= {MAX_BISECTION_N}")
     best = None
     winners = []
-    for combo in itertools.combinations(range(1, n), n // 2 - 1):
-        a = 1 | mask_of(combo)
+    for combo in itertools.combinations([1 << v for v in range(1, n)], n // 2 - 1):
+        a = 1 | sum(combo)
         cut = boundary_size(g, a)
         if best is None or cut < best:
             best = cut

@@ -12,6 +12,14 @@ The canonical order sorts clusters by size, then by vertex list; the JSON
 form is the canonically sorted array of clusters as sorted vertex lists,
 e.g. [[0],[1],[2],[3],[0,1],[2,3],[0,1,2,3]].
 
+Validation places the clusters from the largest down, so that each finds its
+parent, the smallest larger cluster holding it, in one pass. In a collection
+whose clusters do not cross (overlap without nesting) the only possible merge
+partner of x is parent ^ x. The pairwise partner search is kept for
+collections with crossing clusters, to report every violation in them; no
+such collection is a valid tree (checked exhaustively for n <= 6), and
+from_masks refuses one regardless.
+
 The two measures of a reassembling: alpha is the largest edge boundary over
 all 2n-1 clusters, beta is the sum of all 2n-1 edge boundaries. A tree is
 balanced when its height equals ceil(log2 n); for balanced trees over a
@@ -45,6 +53,33 @@ def _fmt(mask: int) -> str:
     return "{" + ",".join(map(str, vertices_of(mask))) + "}"
 
 
+def _laminar_parents(n: int, masks):
+    """Parent of every cluster other than the full set, or None when two
+    clusters cross (overlap without one containing the other).
+
+    One pass over the clusters from the largest down: each vertex keeps the
+    smallest cluster placed so far that holds it, starting from the full set,
+    whether or not the full set is among masks. A cluster's parent is the
+    owner of all of its vertices; vertices with different owners mean it
+    crosses a placed cluster. masks must be distinct nonempty subsets of
+    0..n-1.
+    """
+    full = (1 << n) - 1
+    owner = [full] * n
+    parents = {}
+    for x in sorted(masks, key=int.bit_count, reverse=True):
+        if x == full:
+            continue
+        members = vertices_of(x)
+        parent = owner[members[0]]
+        if len(set(map(owner.__getitem__, members))) > 1:
+            return None
+        parents[x] = parent
+        for v in members:
+            owner[v] = x
+    return parents
+
+
 def tree_violations(n: int, masks) -> list:
     """All conditions violated by a cluster collection (empty list if valid)."""
     if n < 1:
@@ -71,16 +106,32 @@ def tree_violations(n: int, masks) -> list:
         problems.append(f"missing root {_fmt(full)}")
     if len(collection) != 2 * n - 1:
         problems.append(f"wrong cluster count: {len(collection)} (expected {2 * n - 1})")
+    # Without crossings the only candidate partner is parent ^ x. The full
+    # set is the parent of every top cluster even when it is missing, so the
+    # parent must be present too.
+    parents = _laminar_parents(n, collection)
     for x in collection:
         if x == full:
             continue
-        partners = [y for y in collection if x & y == 0 and (x | y) in seen]
+        if parents is None:
+            partners = [y for y in collection if x & y == 0 and (x | y) in seen]
+        else:
+            parent = parents[x]
+            partners = [parent ^ x] if parent in seen and parent ^ x in seen else []
         if len(partners) == 0:
             problems.append(f"cluster {_fmt(x)} has no merge partner")
         elif len(partners) > 1:
             mates = ", ".join(_fmt(y) for y in sorted(partners))
             problems.append(f"cluster {_fmt(x)} has multiple merge partners: {mates}")
     return problems
+
+
+def _cluster_mask(cluster) -> int:
+    """mask_of for one cluster of vertex ids, naming the cluster on error."""
+    try:
+        return mask_of(cluster)
+    except ValueError as exc:
+        raise InvalidTreeError([f"cluster {cluster!r}: {exc}"]) from None
 
 
 def _canonical_key(mask: int):
@@ -103,22 +154,21 @@ class ReassemblingTree:
     @classmethod
     def from_masks(cls, n: int, masks) -> "ReassemblingTree":
         """Validate a collection of bitmask clusters and build the tree."""
+        masks = list(masks)
         problems = tree_violations(n, masks)
         if problems:
             raise InvalidTreeError(problems)
-        full = (1 << n) - 1
+        parents = _laminar_parents(n, masks)
+        if parents is None:
+            # Every valid collection checked exhaustively for n <= 6 is laminar.
+            raise InvalidTreeError(["clusters cross without nesting"])
         collection = sorted(masks, key=_canonical_key)
-        present = set(collection)
         parent = {}
         children = {}
         for x in collection:
-            if x == full:
-                continue
-            y = next(y for y in collection if x & y == 0 and (x | y) in present)
-            parent[x] = x | y
-            prior = children.setdefault(x | y, (min(x, y), max(x, y)))
-            if prior != (min(x, y), max(x, y)):
-                raise InvalidTreeError([f"cluster {_fmt(x | y)} decomposes two ways"])
+            if x in parents:
+                z = parent[x] = parents[x]
+                children.setdefault(z, (min(x, z ^ x), max(x, z ^ x)))
         heights = {}
         for x in collection:  # sorted by size, so children come first
             kids = children.get(x)
@@ -128,7 +178,7 @@ class ReassemblingTree:
     @classmethod
     def from_clusters(cls, n: int, clusters) -> "ReassemblingTree":
         """Build from an iterable of vertex-id iterables."""
-        return cls.from_masks(n, [mask_of(c) for c in clusters])
+        return cls.from_masks(n, [_cluster_mask(c) for c in clusters])
 
     @classmethod
     def from_merges(cls, n: int, merges) -> "ReassemblingTree":
@@ -154,7 +204,7 @@ class ReassemblingTree:
     def from_lists(cls, lists, n: int | None = None) -> "ReassemblingTree":
         """Build from the JSON shape (list of vertex-id lists). n defaults to
         the size of the largest cluster."""
-        masks = [mask_of(c) for c in lists]
+        masks = [_cluster_mask(c) for c in lists]
         if n is None:
             n = max((m.bit_count() for m in masks), default=0)
         return cls.from_masks(n, masks)
@@ -164,6 +214,9 @@ class ReassemblingTree:
         data = json.loads(text)
         if not isinstance(data, list):
             raise InvalidTreeError(["tree JSON must be an array of clusters"])
+        for cluster in data:
+            if not isinstance(cluster, list):
+                raise InvalidTreeError([f"cluster {cluster!r} is not an array of vertex ids"])
         return cls.from_lists(data, n)
 
     # -- structure ---------------------------------------------------------

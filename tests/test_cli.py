@@ -204,6 +204,26 @@ def test_malformed_graph_file_is_a_domain_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "element,named", [('"x"', "'x'"), ("3.5", "3.5"), ("true", "True"), ("-1", "-1")]
+)
+def test_bad_vertex_id_in_tree_is_a_domain_error(tmp_path, capsys, element, named):
+    g = write(tmp_path, "c4.edges", C4_TEXT)
+    t = write(tmp_path, "t.json", f"[[0], [1], [{element}], [3], [0, 1], [2, 3], [0, 1, 2, 3]]")
+    code, out, err = run(["measure", g, t], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid reassembling tree: cluster [{named}]: vertex id {named} is not a non-negative int\n"
+
+
+@pytest.mark.parametrize("element,named", [("2", "2"), ("null", "None"), ('"2"', "'2'")])
+def test_tree_cluster_that_is_not_an_array_is_a_domain_error(tmp_path, capsys, element, named):
+    g = write(tmp_path, "c4.edges", C4_TEXT)
+    t = write(tmp_path, "t.json", f"[[0], [1], {element}, [3], [0, 1], [2, 3], [0, 1, 2, 3]]")
+    code, out, err = run(["measure", g, t], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid reassembling tree: cluster {named} is not an array of vertex ids\n"
+
+
 def test_failed_verification_exits_nonzero(capsys, monkeypatch):
     stub = LemmaReport(lemma=5, tried=1, passed=False, counterexample={"detail": "x"})
     monkeypatch.setattr(reductions, "verify_lemma", lambda *a, **k: stub)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from reasm.graphs import (
     is_clique,
     is_connected,
     is_independent,
+    iter_bits,
     mask_of,
     parse_graph,
     path_graph,
@@ -59,6 +61,20 @@ def test_mask_of_vertices_of_round_trip():
 @given(st.sets(st.integers(min_value=0, max_value=30)))
 def test_mask_round_trip_is_identity(vertex_set):
     assert set(vertices_of(mask_of(vertex_set))) == vertex_set
+
+
+@pytest.mark.parametrize("mask", [-1, -6, -(1 << 70)])
+def test_negative_masks_raise_instead_of_looping(mask):
+    with pytest.raises(ValueError, match=f"mask {mask} is negative"):
+        vertices_of(mask)
+    with pytest.raises(ValueError, match=f"mask {mask} is negative"):
+        list(iter_bits(mask))
+
+
+@pytest.mark.parametrize("bad", ["x", 3.5, True, -1, None])
+def test_mask_of_names_a_bad_vertex_id(bad):
+    with pytest.raises(ValueError, match=re.escape(f"vertex id {bad!r} is not a non-negative int")):
+        mask_of([0, bad])
 
 
 # -- construction and validation ----------------------------------------------
