@@ -8,11 +8,10 @@ clever solvers and reductions can be checked against them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, boundary_size, check_vertex_set, is_clique, vertices_of
+from .graphs import Graph, check_vertex_set, is_clique, vertices_of
 
 MAX_BISECTION_N = 16
 MAX_COVER_N = 20
@@ -49,26 +48,34 @@ class Bisection:
 def min_bisections(g: Graph):
     """Minimum bisection value of g together with every optimal bisection.
 
-    Enumerates all splits with vertex 0 pinned to block a, in increasing
-    bitmask order of block a. Returns (value, [Bisection, ...]).
+    Enumerates all splits with vertex 0 pinned to block a, in lexicographic
+    order of block a's sorted member ids (the order of
+    itertools.combinations), so on the edgeless graph with n = 8 block a runs
+    {0,1,2,3}, {0,1,2,4}, {0,1,2,5}, ... Block a grows one vertex at a time,
+    level by level, and carries its cut along:
+    cut(a | {v}) = cut(a) + deg(v) - 2*|N(v) & a|.
+    Returns (value, [Bisection, ...]).
     """
     n = g.n
     if n < 2 or n % 2:
         raise ValueError("bisection needs an even vertex count of at least 2")
     if n > MAX_BISECTION_N:
         raise ValueError(f"bisection oracle is capped at n <= {MAX_BISECTION_N}")
-    best = None
-    winners = []
-    for combo in itertools.combinations([1 << v for v in range(1, n)], n // 2 - 1):
-        a = 1 | sum(combo)
-        cut = boundary_size(g, a)
-        if best is None or cut < best:
-            best = cut
-            winners = [a]
-        elif cut == best:
-            winners.append(a)
+    adj = g.adj
+    half = n // 2
+    # (block a, its cut) pairs. A prefix is extended only by vertices above
+    # its largest member that leave room for the members still to come.
+    level = [(1, adj[0].bit_count())]
+    for size in range(1, half):
+        stop = n - half + size + 1
+        level = [
+            (a | 1 << v, cut + adj[v].bit_count() - 2 * (adj[v] & a).bit_count())
+            for a, cut in level
+            for v in range(a.bit_length(), stop)
+        ]
+    best = min(cut for _, cut in level)
     full = g.full_mask
-    return best, [Bisection(a, full ^ a) for a in winners]
+    return best, [Bisection(a, full ^ a) for a, cut in level if cut == best]
 
 
 def bisection_type(bis: Bisection, x: int, y: int) -> bool:

@@ -391,6 +391,22 @@ def _check_lemma6(g: Graph):
 
 _LEMMA_DEFAULT_N = {1: 6, 2: 6, 3: 4, 4: 8, 5: 8, 6: 8}
 
+# The instance sizes each check can run: lemmas 1-2 need an even n whose
+# augmented graph, 2(n + r) vertices, stays within the bisection oracle (16),
+# lemma 3 an unpadded augmented graph within tree enumeration (2n <= 8), and
+# lemmas 5-6 planted quarters within tree enumeration. Lemma 4 takes any
+# power of two.
+_LEMMA_N = {1: (2, 4, 6, 8), 2: (2, 4, 6, 8), 3: (2, 4), 5: (4, 8), 6: (4, 8)}
+
+
+def _check_lemma_n(lemma: int, n) -> None:
+    if lemma == 4:
+        if type(n) is not int or n < 1 or n & (n - 1):
+            raise ValueError(f"lemma 4 needs a power-of-two n, got {n!r}")
+    elif type(n) is not int or n not in _LEMMA_N[lemma]:
+        sizes = ", ".join(map(str, _LEMMA_N[lemma]))
+        raise ValueError(f"lemma {lemma} supports n in {{{sizes}}}, got {n!r}")
+
 
 def verify_lemma(
     lemma: int,
@@ -401,7 +417,8 @@ def verify_lemma(
     """Check one structural claim over a batch of seeded instances.
 
     Returns a LemmaReport; on the first failing instance the report carries
-    the serialized graph and a short description of what went wrong.
+    the serialized graph and a short description of what went wrong. An n
+    the lemma's check cannot run raises ValueError before any instance.
     """
     if lemma not in LEMMA_SUMMARIES:
         raise ValueError(f"unknown lemma id {lemma} (valid: 1..6)")
@@ -409,6 +426,7 @@ def verify_lemma(
         raise ValueError("need at least one instance")
     if n is None:
         n = _LEMMA_DEFAULT_N[lemma]
+    _check_lemma_n(lemma, n)
     rng = random.Random(seed)
     for index in range(instances):
         if lemma in (1, 2):

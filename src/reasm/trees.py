@@ -328,9 +328,24 @@ def cluster_degree(g: Graph, t: ReassemblingTree, x: int) -> int:
 
 
 def measures(g: Graph, t: ReassemblingTree) -> MeasurePair:
-    """alpha (max cluster boundary) and beta (sum of cluster boundaries)."""
+    """alpha (max cluster boundary) and beta (sum of cluster boundaries).
+
+    The boundaries are summed inline from the adjacency masks: the tree's
+    clusters were validated as subsets of 0..n-1 when it was built, and
+    _check_pair pins n to the graph's.
+    """
     _check_pair(g, t)
-    degs = [boundary_size(g, x) for x in t.clusters]
+    adj = g.adj
+    full = g.full_mask
+    degs = []
+    for x in t.clusters:
+        out = full ^ x
+        degree = 0
+        while x:
+            low = x & -x
+            degree += (adj[low.bit_length() - 1] & out).bit_count()
+            x ^= low
+        degs.append(degree)
     return MeasurePair(alpha=max(degs), beta=sum(degs))
 
 
@@ -358,7 +373,20 @@ def beta_via_edge_heights(g: Graph, t: ReassemblingTree) -> int:
         raise ValueError("edge-height identity needs a power-of-two vertex count")
     if not t.is_balanced():
         raise ValueError("edge-height identity needs a balanced tree")
-    return 2 * sum(edge_height(g, t, e) for e in g.edges)
+    # Each edge has exactly one least common cluster z, the one whose two
+    # children it bridges, so the edge heights sum to
+    # sum_z height(z) * bridges(children of z): one pass over the internal
+    # clusters in place of a leaf-to-root walk per edge.
+    adj = g.adj
+    total = 0
+    for z, (a, b) in t._children.items():
+        crossing = 0
+        while a:
+            low = a & -a
+            crossing += (adj[low.bit_length() - 1] & b).bit_count()
+            a ^= low
+        total += t._heights[z] * crossing
+    return 2 * total
 
 
 def find_isomorphism(g: Graph, t1: ReassemblingTree, t2: ReassemblingTree):

@@ -232,6 +232,32 @@ def test_failed_verification_exits_nonzero(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "lemma,n,message",
+    [
+        ("1", "7", "lemma 1 supports n in {2, 4, 6, 8}, got 7"),
+        ("1", "10", "lemma 1 supports n in {2, 4, 6, 8}, got 10"),
+        ("2", "0", "lemma 2 supports n in {2, 4, 6, 8}, got 0"),
+        ("3", "8", "lemma 3 supports n in {2, 4}, got 8"),
+        ("3", "6", "lemma 3 supports n in {2, 4}, got 6"),
+        ("4", "6", "lemma 4 needs a power-of-two n, got 6"),
+        ("4", "-4", "lemma 4 needs a power-of-two n, got -4"),
+        ("5", "16", "lemma 5 supports n in {4, 8}, got 16"),
+        ("6", "2", "lemma 6 supports n in {4, 8}, got 2"),
+    ],
+)
+def test_verify_lemma_rejects_an_unsupported_n(capsys, lemma, n, message):
+    code, out, err = run(["verify-lemma", lemma, "--instances", "1", "--n", n], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("lemma,n", [("1", "2"), ("2", "8"), ("3", "2"), ("4", "1"), ("4", "16"), ("5", "4"), ("6", "4")])
+def test_verify_lemma_accepts_each_supported_edge_n(capsys, lemma, n):
+    code, out, err = run(["verify-lemma", lemma, "--instances", "1", "--n", n, "--seed", "3"], capsys)
+    assert (code, out, err) == (0, f'{{"lemma":{lemma},"tried":1,"passed":true}}\n', "")
+
+
 def test_worker_count_warning(tmp_path, capsys, monkeypatch):
     g = write(tmp_path, "c4.edges", C4_TEXT)
     monkeypatch.setenv("REASM_WORKERS", "many")

@@ -366,6 +366,12 @@ def test_verify_lemma_guards():
         verify_lemma(7)
     with pytest.raises(ValueError, match="at least one"):
         verify_lemma(1, instances=0)
+    with pytest.raises(ValueError, match=r"lemma 3 supports n in \{2, 4\}, got 8"):
+        verify_lemma(3, n=8)
+    with pytest.raises(ValueError, match="lemma 4 needs a power-of-two n, got 8.0"):
+        verify_lemma(4, n=8.0)
+    with pytest.raises(ValueError, match="lemma 5 supports n in .*, got True"):
+        verify_lemma(5, n=True)
 
 
 def test_report_serialization():
