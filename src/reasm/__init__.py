@@ -55,6 +55,7 @@ from .solvers import (
     enumerate_balanced_trees,
     greedy_balanced_heuristic,
     maximize_qp,
+    optimal_balanced_trees,
     optimize_balanced,
     qp_objective,
 )

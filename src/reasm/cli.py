@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import generators, oracles, reductions, solvers, trees
 from .graphs import format_graph, parse_graph, vertices_of
+
+# Size caps, checked before any work. partitions4 N lists every partition,
+# about N^3/144 tuples (189,375 and 2.8 MB of JSON at the cap), and gen emits
+# up to n(n-1)/2 edges (523,776 for a clique at the cap).
+MAX_PARTITIONS4_N = 300
+MAX_GEN_N = 1024
 
 
 def _read_graph(path: str):
@@ -107,6 +112,8 @@ def _run_optimize(args) -> int:
 def _run_oracle(args) -> int:
     if args.which == "partitions4":
         n = int(args.target)
+        if n > MAX_PARTITIONS4_N:
+            raise ValueError(f"partitions4 is capped at n <= {MAX_PARTITIONS4_N}, got {n}")
         parts = oracles.partitions4(n)
         doc = {
             "count": len(parts),
@@ -173,6 +180,8 @@ def _run_verify_lemma(args) -> int:
 
 
 def _run_gen(args) -> int:
+    if args.n > MAX_GEN_N:
+        raise ValueError(f"gen is capped at n <= {MAX_GEN_N}, got {args.n}")
     g = generators.generate_family(args.family, args.n, seed=args.seed)
     doc = {"family": args.family, **_graph_doc(g)}
     _emit(doc, args.pretty)
@@ -190,11 +199,6 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    # Worker count is accepted for interface compatibility; all computations
-    # here are deterministic and single-threaded, results never depend on it.
-    workers = os.environ.get("REASM_WORKERS")
-    if workers is not None and not workers.isdigit():
-        print(f"ignoring non-integer REASM_WORKERS={workers!r}", file=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -54,10 +54,9 @@ from .oracles import (
     verify_cover,
 )
 from .solvers import (
-    all_balanced_trees,
     encode_beta_max_qp,
     maximize_qp,
-    optimize_balanced,
+    optimal_balanced_trees,
     qp_objective,
 )
 from .trees import ReassemblingTree, beta_via_edge_heights, measures
@@ -206,48 +205,32 @@ def equal_size_gadget(g: Graph, sizes) -> Graph:
 # -- grandchildren extraction -------------------------------------------------
 
 
-def _grandchildren(t: ReassemblingTree) -> tuple:
-    quarter = t.n // 4
-    blocks = tuple(x for x in t.clusters if x.bit_count() == quarter)
-    if len(blocks) != 4:
-        raise ValueError("tree has no grandchildren level (need n = 2^p, p >= 2)")
+def _checked_grandchildren(g: Graph, t: ReassemblingTree, what: str, is_block, violation: str) -> tuple:
+    """The four grandchildren of balanced tree t over g, each checked with
+    is_block(g, block); a failing block raises LemmaViolation."""
+    if g.n != t.n:
+        raise ValueError("tree does not match the graph")
+    if g.n < 4 or g.n & (g.n - 1):
+        raise ValueError(f"{what} extraction needs n = 2^p with p >= 2")
+    if not t.is_balanced():
+        raise ValueError(f"{what} extraction needs a balanced tree")
+    blocks = tuple(x for x in t.clusters if x.bit_count() == g.n // 4)
+    for block in blocks:
+        if not is_block(g, block):
+            raise LemmaViolation(f"grandchild {list(vertices_of(block))} {violation}")
     return blocks
 
 
 def clique_cover_from_beta_optimal(g: Graph, t: ReassemblingTree) -> tuple:
     """Grandchildren of a beta-minimal balanced tree, checked to be an
     equal-size clique cover of g."""
-    if g.n != t.n:
-        raise ValueError("tree does not match the graph")
-    if g.n < 4 or g.n & (g.n - 1):
-        raise ValueError("cover extraction needs n = 2^p with p >= 2")
-    if not t.is_balanced():
-        raise ValueError("cover extraction needs a balanced tree")
-    blocks = _grandchildren(t)
-    for block in blocks:
-        if not is_clique(g, block):
-            raise LemmaViolation(
-                f"grandchild {list(vertices_of(block))} does not induce a complete graph"
-            )
-    return blocks
+    return _checked_grandchildren(g, t, "cover", is_clique, "does not induce a complete graph")
 
 
 def independent_grandchildren_from_beta_max(g: Graph, t: ReassemblingTree) -> tuple:
     """Grandchildren of a beta-maximal balanced tree, checked to be four
     disjoint independent sets."""
-    if g.n != t.n:
-        raise ValueError("tree does not match the graph")
-    if g.n < 4 or g.n & (g.n - 1):
-        raise ValueError("grandchildren extraction needs n = 2^p with p >= 2")
-    if not t.is_balanced():
-        raise ValueError("grandchildren extraction needs a balanced tree")
-    blocks = _grandchildren(t)
-    for block in blocks:
-        if not is_independent(g, block):
-            raise LemmaViolation(
-                f"grandchild {list(vertices_of(block))} is not an independent set"
-            )
-    return blocks
+    return _checked_grandchildren(g, t, "grandchildren", is_independent, "is not an independent set")
 
 
 def has_independent_quarters(g: Graph) -> bool:
@@ -305,32 +288,25 @@ def _check_lemma3(g: Graph):
     if ag.r != 0:
         raise ValueError("this check needs a power-of-two vertex count (r = 0)")
     big = ag.graph
-    trees = all_balanced_trees(big.n)
-    alphas = [measures(big, t).alpha for t in trees]
-    alpha_min = min(alphas)
-    _, dp_value = optimize_balanced(big, "alpha", "min")
-    if dp_value != alpha_min:
-        return {"detail": f"DP alpha {dp_value} disagrees with enumeration {alpha_min}"}
     big_value, _ = min_bisections(big)
     c, _ = min_bisections(g)
     n = g.n
     if big_value != n * n // 2 + c:
         return {"detail": f"augmented minimum bisection {big_value} is not n^2/2 + C = {n * n // 2 + c}"}
-    for t, alpha in zip(trees, alphas):
-        if alpha != alpha_min:
-            continue
+    # The walk's root splits are exactly those of the alpha-minimal trees.
+    for t in optimal_balanced_trees(big, "alpha", "min"):
         a, b = t.children_of(t.root)
         cut = bridge_count(big, a, b)
-        if cut != big_value:
-            return {"detail": f"alpha-minimal root split cuts {cut}, minimum is {big_value}",
-                    "rootSplit": [list(vertices_of(a)), list(vertices_of(b))]}
         ra, rb = a & ag.g_mask, b & ag.g_mask
-        if ra.bit_count() != n // 2 or rb.bit_count() != n // 2:
-            return {"detail": "alpha-minimal root split does not restrict to a bisection",
-                    "rootSplit": [list(vertices_of(a)), list(vertices_of(b))]}
-        if bridge_count(g, ra, rb) != c:
-            return {"detail": f"restricted split cuts {bridge_count(g, ra, rb)}, minimum is {c}",
-                    "rootSplit": [list(vertices_of(a)), list(vertices_of(b))]}
+        if cut != big_value:
+            detail = f"alpha-minimal root split cuts {cut}, minimum is {big_value}"
+        elif ra.bit_count() != n // 2 or rb.bit_count() != n // 2:
+            detail = "alpha-minimal root split does not restrict to a bisection"
+        elif bridge_count(g, ra, rb) != c:
+            detail = f"restricted split cuts {bridge_count(g, ra, rb)}, minimum is {c}"
+        else:
+            continue
+        return {"detail": detail, "rootSplit": [list(vertices_of(a)), list(vertices_of(b))]}
     return None
 
 
@@ -343,22 +319,24 @@ def _check_lemma4(g: Graph, t: ReassemblingTree):
     return None
 
 
+def _first_failing_optimal_tree(g: Graph, sense: str, extract):
+    """Walk the beta-optimal trees of g in enumeration order and describe the
+    first on which extract(g, t) raises LemmaViolation, as {"detail", "tree"};
+    None when every tree passes."""
+    for t in optimal_balanced_trees(g, "beta", sense):
+        try:
+            extract(g, t)
+        except LemmaViolation as exc:
+            return {"detail": str(exc), "tree": t.to_lists()}
+    return None
+
+
 def _check_lemma5(g: Graph):
     if not has_independent_quarters(g):
         return None  # hypothesis absent: the claim says nothing here, skip
-    trees = all_balanced_trees(g.n)
-    betas = [measures(g, t).beta for t in trees]
-    beta_max = max(betas)
-    _, dp_value = optimize_balanced(g, "beta", "max")
-    if dp_value != beta_max:
-        return {"detail": f"DP beta {dp_value} disagrees with enumeration {beta_max}"}
-    for t, beta in zip(trees, betas):
-        if beta != beta_max:
-            continue
-        try:
-            independent_grandchildren_from_beta_max(g, t)
-        except LemmaViolation as exc:
-            return {"detail": str(exc), "tree": t.to_lists()}
+    failure = _first_failing_optimal_tree(g, "max", independent_grandchildren_from_beta_max)
+    if failure is not None:
+        return failure
     model = encode_beta_max_qp(g)
     best, winners = maximize_qp(model)
     if not any(qp_objective(model, w).theta2 == 0 for w in winners):
@@ -366,27 +344,16 @@ def _check_lemma5(g: Graph):
     return None
 
 
+def _checked_cover(g: Graph, t: ReassemblingTree) -> None:
+    blocks = clique_cover_from_beta_optimal(g, t)
+    if not verify_cover(g, blocks, sizes=[g.n // 4] * 4):
+        raise LemmaViolation("extracted grandchildren fail the cover checker")
+
+
 def _check_lemma6(g: Graph):
     if find_equal_size_cover4(g) is None:
         return None  # not a positive cover instance: the claim says nothing, skip
-    trees = all_balanced_trees(g.n)
-    betas = [measures(g, t).beta for t in trees]
-    beta_min = min(betas)
-    _, dp_value = optimize_balanced(g, "beta", "min")
-    if dp_value != beta_min:
-        return {"detail": f"DP beta {dp_value} disagrees with enumeration {beta_min}"}
-    quarter = g.n // 4
-    for t, beta in zip(trees, betas):
-        if beta != beta_min:
-            continue
-        try:
-            blocks = clique_cover_from_beta_optimal(g, t)
-        except LemmaViolation as exc:
-            return {"detail": str(exc), "tree": t.to_lists()}
-        if not verify_cover(g, blocks, sizes=[quarter] * 4):
-            return {"detail": "extracted grandchildren fail the cover checker",
-                    "tree": t.to_lists()}
-    return None
+    return _first_failing_optimal_tree(g, "min", _checked_cover)
 
 
 _LEMMA_DEFAULT_N = {1: 6, 2: 6, 3: 4, 4: 8, 5: 8, 6: 8}
@@ -420,8 +387,10 @@ def verify_lemma(
     the serialized graph and a short description of what went wrong. An n
     the lemma's check cannot run raises ValueError before any instance.
     """
-    if lemma not in LEMMA_SUMMARIES:
-        raise ValueError(f"unknown lemma id {lemma} (valid: 1..6)")
+    if type(lemma) is not int or lemma not in LEMMA_SUMMARIES:
+        raise ValueError(f"unknown lemma id {lemma!r} (valid: 1..6)")
+    if type(instances) is not int:
+        raise ValueError(f"instance count must be an int, got {instances!r}")
     if instances < 1:
         raise ValueError("need at least one instance")
     if n is None:

@@ -11,8 +11,11 @@ level: singletons, then every subset of size 2, 4, ..., n. A cluster's
 halvings (the halves that keep its lowest vertex) are assembled from
 per-byte submask tables grouped by popcount, and each cluster is reduced in
 one pass of C-level map/min over those halves. Cluster boundaries are summed
-inline from the adjacency masks. The optimal tree is then read back top-down
-from the table, breaking ties toward the numerically smallest block.
+inline from the adjacency masks. One step reads a cluster's optimal
+halvings off the filled table. optimize_balanced follows it top-down,
+breaking ties toward the numerically smallest block, and
+optimal_balanced_trees walks every optimal halving with the recursion that
+enumerate_balanced_trees runs over all halvings.
 
 The quadratic-program encoding targets beta maximization. With grandchildren
 X1..X4 at height p-2 (X1, X2 under one root child, X3, X4 under the other),
@@ -90,12 +93,12 @@ def _byte_tables():
     return low, high, ids, [tuple(v + 8 for v in row) for row in ids]
 
 
-def optimize_balanced(g: Graph, objective: str = "beta", sense: str = "min"):
-    """Exact optimum of alpha or beta over all balanced trees of g.
+def _balanced_table(g: Graph, objective: str, sense: str):
+    """Fill the subset DP table of g and return (value, optimal_halvings).
 
-    Returns (tree, value). Subset dynamic program over equal halvings; ties
-    between optimal halvings break toward the numerically smallest block, so
-    the returned tree is deterministic.
+    value is the optimum over all balanced trees of g. optimal_halvings(mask)
+    lists, in no particular order, the halves a of mask that keep its lowest
+    vertex and whose halving (a, mask ^ a) attains mask's optimum.
     """
     if objective not in ("alpha", "beta"):
         raise ValueError("objective must be 'alpha' or 'beta'")
@@ -151,22 +154,65 @@ def optimize_balanced(g: Graph, objective: str = "beta", sense: str = "min"):
             left[mask] = v * scale
         size *= 2
 
+    def optimal_halvings(mask):
+        halves, inners = splits(mask)
+        inners = list(inners)
+        best = pick(inners)
+        return [a for a, inner in zip(halves, inners) if inner == best]
+
+    return val[full], optimal_halvings
+
+
+def optimize_balanced(g: Graph, objective: str = "beta", sense: str = "min"):
+    """Exact optimum of alpha or beta over all balanced trees of g.
+
+    Returns (tree, value). Subset dynamic program over equal halvings; ties
+    between optimal halvings break toward the numerically smallest block, so
+    the returned tree is deterministic.
+    """
+    value, optimal_halvings = _balanced_table(g, objective, sense)
     clusters = []
-    pending = [full]
+    pending = [g.full_mask]
     while pending:
         mask = pending.pop()
         clusters.append(mask)
         if mask & (mask - 1):
-            halves, inners = splits(mask)
-            inners = list(inners)
-            best = pick(inners)
-            a = min(
-                (a for a, inner in zip(halves, inners) if inner == best),
-                key=lambda a: min(a, mask ^ a),
-            )
+            a = min(optimal_halvings(mask), key=lambda a: min(a, mask ^ a))
             pending += (mask ^ a, a)
-    tree = ReassemblingTree.from_masks(g.n, clusters)
-    return tree, val[full]
+    return ReassemblingTree.from_masks(g.n, clusters), value
+
+
+def _trees_below(mask: int, halvings):
+    """Yield the cluster tuples of the balanced trees below mask whose every
+    cluster X splits as (a, X ^ a) for some a in halvings(X), in that order."""
+    if mask & (mask - 1) == 0:
+        yield (mask,)
+        return
+    for a in halvings(mask):
+        for ta in _trees_below(a, halvings):
+            for tb in _trees_below(mask ^ a, halvings):
+                yield ta + tb + (mask,)
+
+
+def optimal_balanced_trees(g: Graph, objective: str = "beta", sense: str = "min"):
+    """Yield the balanced trees of g whose every halving is optimal for its
+    cluster in the subset DP, in the order of enumerate_balanced_trees.
+
+    Each yielded tree attains the optimum. For beta, which is a sum over the
+    clusters, these are exactly the optimal trees. Alpha is a maximum, so an
+    alpha-optimal tree can hold a suboptimal subtree and the walk yields only
+    some of the optimal trees; but the root's boundary is 0, so a root split
+    lies in some optimal tree exactly when it is an optimal halving, and the
+    walk's root splits are exactly the optimal trees' root splits.
+    """
+    _, optimal_halvings = _balanced_table(g, objective, sense)
+
+    @lru_cache(maxsize=None)
+    def halvings(mask):  # enumeration order: lexicographic in the member ids
+        return sorted(optimal_halvings(mask), key=vertices_of)
+
+    for masks in _trees_below(g.full_mask, halvings):
+        yield ReassemblingTree.from_masks(g.n, masks)
 
 
 def enumerate_balanced_trees(n: int):
@@ -175,17 +221,7 @@ def enumerate_balanced_trees(n: int):
     _check_power_of_two(n, "balanced enumeration")
     if n > MAX_ENUMERATION_N:
         raise ValueError(f"balanced enumeration is capped at n <= {MAX_ENUMERATION_N}")
-
-    def rec(mask):
-        if mask & (mask - 1) == 0:
-            yield (mask,)
-            return
-        for a, b in _halvings(mask):
-            for ta in rec(a):
-                for tb in rec(b):
-                    yield ta + tb + (mask,)
-
-    for masks in rec((1 << n) - 1):
+    for masks in _trees_below((1 << n) - 1, lambda mask: (a for a, _ in _halvings(mask))):
         yield ReassemblingTree.from_masks(n, masks)
 
 
@@ -451,14 +487,7 @@ def greedy_balanced_heuristic(g: Graph, objective: str = "beta"):
         if size == 1:
             return
         if size <= 4:
-            best = None
-            choice = None
-            for a, b in _halvings(mask):
-                key = (bridge_count(g, a, b), min(a, b))
-                if best is None or key < best:
-                    best = key
-                    choice = (a, b)
-            a, b = choice
+            a, b = min(_halvings(mask), key=lambda ab: (bridge_count(g, *ab), min(ab)))
         else:
             a = _swap_descent(g, mask)
             b = mask ^ a

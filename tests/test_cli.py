@@ -258,11 +258,31 @@ def test_verify_lemma_accepts_each_supported_edge_n(capsys, lemma, n):
     assert (code, out, err) == (0, f'{{"lemma":{lemma},"tried":1,"passed":true}}\n', "")
 
 
-def test_worker_count_warning(tmp_path, capsys, monkeypatch):
+def test_reasm_workers_changes_nothing(tmp_path, capsys, monkeypatch):
     g = write(tmp_path, "c4.edges", C4_TEXT)
+    t = write(tmp_path, "t.json", PAIRED_TREE_TEXT)
+    commands = [["measure", g, t], ["optimize", g]]
+    plain = [run(argv, capsys) for argv in commands]
     monkeypatch.setenv("REASM_WORKERS", "many")
-    _, _, err = run(["measure", g, write(tmp_path, "t.json", PAIRED_TREE_TEXT)], capsys)
-    assert "REASM_WORKERS" in err
-    monkeypatch.setenv("REASM_WORKERS", "4")
-    _, _, err = run(["optimize", g], capsys)
-    assert err == ""
+    assert [run(argv, capsys) for argv in commands] == plain
+    assert all(err == "" for _, _, err in plain)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "partitions4", "301"], "partitions4 is capped at n <= 300, got 301"),
+        (["gen", "--family", "clique", "--n", "1025"], "gen is capped at n <= 1024, got 1025"),
+    ],
+)
+def test_size_caps_fail_before_any_work(capsys, argv, message):
+    assert run(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_size_caps_admit_the_cap(capsys):
+    code, out, err = run(["oracle", "partitions4", "300"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 189375
+    code, out, err = run(["gen", "--family", "cycle", "--n", "1024"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["m"] == 1024

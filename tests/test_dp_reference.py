@@ -5,6 +5,10 @@ itertools.combinations halvings with boundary_size per cluster. Both must
 return the same optimum and the byte-identical tree, including on tie-heavy
 graphs (edgeless, complete, cycle) where many halvings share the optimum and
 only the tie-break decides the tree.
+
+The walk over optimal halvings (optimal_balanced_trees) is checked against
+full enumeration with measures on every tree: the optimal beta trees in
+enumeration order, and for alpha a subset with the same root splits.
 """
 
 import itertools
@@ -12,6 +16,7 @@ import random
 
 import pytest
 
+from reasm.generators import planted_clique_cover, planted_independent_quarters
 from reasm.graphs import (
     Graph,
     boundary_size,
@@ -21,8 +26,8 @@ from reasm.graphs import (
     mask_of,
     vertices_of,
 )
-from reasm.solvers import optimize_balanced
-from reasm.trees import ReassemblingTree
+from reasm.solvers import all_balanced_trees, optimal_balanced_trees, optimize_balanced
+from reasm.trees import ReassemblingTree, measures
 
 PAIRS = [("alpha", "min"), ("alpha", "max"), ("beta", "min"), ("beta", "max")]
 
@@ -120,3 +125,33 @@ SIXTEEN = (
 )
 def test_matches_reference_on_sixteen_vertices(g, objective, sense):
     assert_same(g, objective, sense)
+
+
+# -- the optimal-tree walk against enumeration ------------------------------------
+
+WALKED = {f"gnp{n}-{seed}": gnp(n, 0.5, seed) for n in (1, 2, 4) for seed in range(3)}
+WALKED.update({f"gnp8-{p}-{seed}": gnp(8, p, 100 + seed) for p in (0.3, 0.5, 0.7) for seed in range(12)})
+WALKED.update({f"quarters8-{seed}": planted_independent_quarters(8, random.Random(seed))[0] for seed in range(12)})
+WALKED.update({f"cover8-{seed}": planted_clique_cover(8, random.Random(seed))[0] for seed in range(12)})
+WALKED.update({"edgeless8": edgeless_graph(8), "complete8": complete_graph(8)})
+
+
+def root_splits(trees):
+    """The distinct root splits of trees, in order of first appearance."""
+    return list(dict.fromkeys(t.children_of(t.root) for t in trees if t.n > 1))
+
+
+@pytest.mark.parametrize("g", WALKED.values(), ids=WALKED.keys())
+def test_walk_matches_enumeration(g):
+    trees = all_balanced_trees(g.n)
+    pairs = [measures(g, t) for t in trees]
+    for objective, sense in PAIRS:
+        values = [getattr(pair, objective) for pair in pairs]
+        best = (min if sense == "min" else max)(values)
+        optimal = [t for t, value in zip(trees, values) if value == best]
+        walked = list(optimal_balanced_trees(g, objective, sense))
+        if objective == "beta":
+            assert walked == optimal
+        else:
+            assert set(walked) <= set(optimal)
+            assert root_splits(walked) == root_splits(optimal)

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from reasm.graphs import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
+    is_clique,
     mask_of,
     path_graph,
     vertices_of,
@@ -43,7 +46,12 @@ from reasm.reductions import (
     padding,
     verify_lemma,
 )
-from reasm.solvers import all_balanced_trees, beta_complete_closed_form, optimize_balanced
+from reasm.solvers import (
+    all_balanced_trees,
+    beta_complete_closed_form,
+    optimal_balanced_trees,
+    optimize_balanced,
+)
 from reasm.trees import ReassemblingTree, measures
 
 # Eight vertices, sixteen cross edges over the independent blocks
@@ -374,6 +382,23 @@ def test_verify_lemma_guards():
         verify_lemma(5, n=True)
 
 
+@pytest.mark.parametrize(
+    "lemma,instances,message",
+    [
+        (True, 1, "unknown lemma id True (valid: 1..6)"),
+        (1.0, 1, "unknown lemma id 1.0 (valid: 1..6)"),
+        ("1", 1, "unknown lemma id '1' (valid: 1..6)"),
+        (1, True, "instance count must be an int, got True"),
+        (1, 2.5, "instance count must be an int, got 2.5"),
+        (1, "3", "instance count must be an int, got '3'"),
+    ],
+)
+def test_verify_lemma_rejects_non_int_arguments(lemma, instances, message):
+    with pytest.raises(ValueError) as info:
+        verify_lemma(lemma, instances=instances)
+    assert str(info.value) == message
+
+
 def test_report_serialization():
     clean = LemmaReport(lemma=2, tried=5, passed=True)
     assert clean.to_json_dict() == {"lemma": 2, "tried": 5, "passed": True}
@@ -418,3 +443,49 @@ def test_tied_minima_mirror_through_the_complement():
     result = _check_lemma6(co)
     assert result is not None
     assert "does not induce a complete graph" in result["detail"]
+
+
+# -- pinned counterexamples (beta-minimal trees without clique grandchildren) ---------
+
+
+def edges_graph(text):
+    return Graph.from_edges(8, [tuple(map(int, edge.split("-"))) for edge in text.split()])
+
+
+# Both have an equal-size clique cover. No beta-minimal tree of the first has
+# clique grandchildren (it fails even "some optimal tree conforms"); two of
+# the eight of the second do.
+WEAK_FAILURE = edges_graph("0-3 1-3 1-6 2-3 2-7 4-5 4-6 4-7 5-6 5-7 6-7")
+EVERY_FAILURE = edges_graph("0-2 0-3 0-6 1-2 1-3 3-7 4-5 4-6 4-7")
+
+
+def has_clique_grandchildren(g, t):
+    return all(is_clique(g, x) for x in t.clusters if x.bit_count() == g.n // 4)
+
+
+@pytest.mark.parametrize(
+    "g,count,beta,conforming,best_conforming",
+    [(WEAK_FAILURE, 9, 42, 0, 44), (EVERY_FAILURE, 8, 34, 2, 34)],
+    ids=["weak", "every"],
+)
+def test_pinned_lemma6_counterexamples(g, count, beta, conforming, best_conforming):
+    assert find_equal_size_cover4(g) is not None
+    optimal = list(optimal_balanced_trees(g, "beta", "min"))
+    assert len(optimal) == count
+    assert {measures(g, t).beta for t in optimal} == {beta}
+    assert sum(has_clique_grandchildren(g, t) for t in optimal) == conforming
+    conforming_betas = [measures(g, t).beta for t in all_balanced_trees(8) if has_clique_grandchildren(g, t)]
+    assert min(conforming_betas) == best_conforming
+    # Lemma 5's tree part is lemma 6's on the complement: the same tree fails.
+    six, five = _check_lemma6(g), _check_lemma5(complement(g))
+    assert six is not None and five is not None
+    assert six["tree"] == five["tree"]
+
+
+FAILING_REPORTS = json.loads((pathlib.Path(__file__).parent / "data" / "failing_lemma_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", FAILING_REPORTS, ids=[f"lemma{c['lemma']}-seed{c['seed']}" for c in FAILING_REPORTS])
+def test_recorded_failing_reports(case):
+    report = verify_lemma(case["lemma"], case["instances"], case["seed"], case["n"])
+    assert report.to_json_dict() == case["report"]
