@@ -24,9 +24,11 @@ an edge contributes 2p when its endpoints fall across the two root halves,
 relaxed credit 2(p-2) when both endpoints share one block. Writing theta for
 the objective, m for the edge count, theta1 for the number of sibling-class
 edges and theta2 for the number of same-block edges gives the identity
-theta = 2pm - 2*theta1 - 4*theta2. qp_objective evaluates it one vertex pair
-at a time: the terms are compiled once per model into tables indexed by the
-blocks of the pair's two endpoints.
+theta = 2pm - 2*theta1 - 4*theta2. qp_objective evaluates it term by term.
+The QP is the paper's formulation and a test oracle; verify-lemma does not
+run it, because at n = 4 and 8 the objective of an assignment is beta of the
+balanced tree with those grandchildren, so the QP maximizers are the beta-max
+trees that the lemma 5 check already walks.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain, combinations, product, starmap
 from operator import add, or_
 
@@ -49,7 +51,6 @@ MAX_ENUMERATION_N = 8
 CROSS_CLASSES = ((1, 3), (1, 4), (2, 3), (2, 4))
 SIBLING_CLASSES = ((1, 2), (3, 4))
 SAME_CLASSES = ((1, 1), (2, 2), (3, 3), (4, 4))
-_BLOCK_IDS = {1: 1, 2: 2, 3: 3, 4: 4}
 
 
 def _check_power_of_two(n: int, what: str):
@@ -274,35 +275,6 @@ class QPModel:
     def m(self) -> int:
         return len(self.terms) // 10
 
-    @cached_property
-    def _pair_tables(self) -> tuple:
-        """The terms compiled per vertex pair, for qp_objective.
-
-        Returns (pairs, theta, theta1, theta2). pairs lists (base, i, j), one
-        per ordered vertex pair (i, j) that some term names; the other three
-        are flat lists where entry base + 4*b_i + b_j holds what the pair's
-        terms add to theta, theta1 and theta2 when i lies in block b_i and j
-        in block b_j. Built once per model, on first use.
-        """
-        index = {}
-        theta, theta1, theta2 = [], [], []
-        for i, k, j, l, c in self.terms:
-            if (i, j) not in index:
-                index[(i, j)] = len(theta) - 5
-                for column in (theta, theta1, theta2):
-                    column.extend([0] * 16)
-            base = index[(i, j)]
-            for bi, bj in product(range(1, 5), repeat=2):
-                if (bi == k and bj == l) or (k != l and bi == l and bj == k):
-                    key = base + 4 * bi + bj
-                    theta[key] += c
-                    if (k, l) in SIBLING_CLASSES:
-                        theta1[key] += 1
-                    elif k == l:
-                        theta2[key] += 1
-        pairs = tuple((base, i, j) for (i, j), base in index.items())
-        return pairs, theta, theta1, theta2
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -352,18 +324,14 @@ class QPValue:
 def qp_objective(model: QPModel, block_of) -> QPValue:
     """Evaluate the QP objective for an assignment (block_of[v] in 1..4).
 
-    Checks the size constraints, then sums the objective one vertex pair at a
-    time from the model's compiled pair tables (one lookup per pair instead
-    of a test per term) and cross-checks it against the identity
-    theta = 2pm - 2*theta1 - 4*theta2.
+    Checks the size constraints, sums the objective term by term and
+    cross-checks it against the identity theta = 2pm - 2*theta1 - 4*theta2.
     """
     blocks = tuple(block_of)
     if len(blocks) != model.n:
         raise ValueError(f"assignment must cover all {model.n} vertices")
-    try:  # also turns ids like 1.0 or True into the ints that index the tables
-        blocks = tuple(map(_BLOCK_IDS.__getitem__, blocks))
-    except (KeyError, TypeError):
-        raise ValueError("assignment values must be block ids 1..4") from None
+    if any(k not in (1, 2, 3, 4) for k in blocks):
+        raise ValueError("assignment values must be block ids 1..4")
     for k in range(1, 5):
         size = blocks.count(k)
         if size != model.block_size:
@@ -371,11 +339,15 @@ def qp_objective(model: QPModel, block_of) -> QPValue:
                 f"constraint (ii) violated: block {k} holds {size} vertices, "
                 f"expected {model.block_size}"
             )
-    pairs, theta_of, theta1_of, theta2_of = model._pair_tables
-    keys = [base + 4 * blocks[i] + blocks[j] for base, i, j in pairs]
-    theta = sum(map(theta_of.__getitem__, keys))
-    theta1 = sum(map(theta1_of.__getitem__, keys))
-    theta2 = sum(map(theta2_of.__getitem__, keys))
+    theta = theta1 = theta2 = 0
+    for i, k, j, l, c in model.terms:
+        bi, bj = blocks[i], blocks[j]
+        if (bi, bj) == (k, l) or (k != l and (bi, bj) == (l, k)):
+            theta += c
+            if (k, l) in SIBLING_CLASSES:
+                theta1 += 1
+            elif k == l:
+                theta2 += 1
     m = model.m
     if theta != 2 * model.p * m - 2 * theta1 - 4 * theta2:
         raise ArithmeticError("objective decomposition identity failed")

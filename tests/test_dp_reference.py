@@ -8,7 +8,10 @@ only the tie-break decides the tree.
 
 The walk over optimal halvings (optimal_balanced_trees) is checked against
 full enumeration with measures on every tree: the optimal beta trees in
-enumeration order, and for alpha a subset with the same root splits.
+enumeration order, and for alpha a subset with the same root splits. Lemma
+3's check reads those root splits straight off the root's sorted optimal
+halvings; on augmented graphs it must check exactly the walk's distinct
+root splits, in walk order.
 """
 
 import itertools
@@ -16,16 +19,19 @@ import random
 
 import pytest
 
-from reasm.generators import planted_clique_cover, planted_independent_quarters
+from reasm import reductions
+from reasm.generators import planted_clique_cover, planted_independent_quarters, random_connected_graph
 from reasm.graphs import (
     Graph,
     boundary_size,
+    bridge_count,
     complete_graph,
     cycle_graph,
     edgeless_graph,
     mask_of,
     vertices_of,
 )
+from reasm.reductions import augment
 from reasm.solvers import all_balanced_trees, optimal_balanced_trees, optimize_balanced
 from reasm.trees import ReassemblingTree, measures
 
@@ -155,3 +161,25 @@ def test_walk_matches_enumeration(g):
         else:
             assert set(walked) <= set(optimal)
             assert root_splits(walked) == root_splits(optimal)
+
+
+LEMMA3_BASES = {
+    f"n{n}-seed{seed}": random_connected_graph(n, random.Random(seed))
+    for n in (2, 4)
+    for seed in range(20)
+}
+
+
+@pytest.mark.parametrize("g", LEMMA3_BASES.values(), ids=LEMMA3_BASES.keys())
+def test_lemma3_checks_the_walks_root_splits_in_order(g, monkeypatch):
+    big = augment(g).graph
+    checked = []
+
+    def spy(h, a, b):
+        if h.n == big.n:
+            checked.append((a, b))
+        return bridge_count(h, a, b)
+
+    monkeypatch.setattr(reductions, "bridge_count", spy)
+    assert reductions._check_lemma3(g) is None
+    assert checked == root_splits(optimal_balanced_trees(big, "alpha", "min"))

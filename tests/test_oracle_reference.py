@@ -2,8 +2,8 @@
 
 min_bisections grows block a vertex by vertex and carries its cut along; the
 reference calls boundary_size once per split, in itertools.combinations
-order. qp_objective sums per-vertex-pair tables compiled from the terms;
-the reference tests every term against the assignment. measures and
+order. qp_objective and its reference both test every term against the
+assignment; the reference stays as the pin on values and messages. measures and
 beta_via_edge_heights sum boundaries and bridges inline; the references call
 boundary_size per cluster and walk each edge's leaf-to-root path. Values,
 winners and their order, and error messages must all be identical.

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reasm.generators import planted_independent_quarters
 from reasm.graphs import (
     Graph,
     complete_graph,
@@ -25,7 +26,7 @@ from reasm.solvers import (
     optimize_balanced,
     qp_objective,
 )
-from reasm.trees import measures, tree_violations
+from reasm.trees import ReassemblingTree, measures, tree_violations
 
 
 def random_pow2_graph(n, seed, p=0.5):
@@ -269,22 +270,38 @@ def test_identity_against_direct_recount_on_seeded_instances():
 
 
 def test_qp_maximum_equals_beta_maximum_at_desk_scale():
-    """With two levels below the root the same-block credit is exact, so the
-    exhaustive assignment maximum must agree with the tree maximum."""
-    for n, seeds in ((4, range(8)), (8, range(4))):
-        for seed in seeds:
-            g = random_pow2_graph(n, 1000 + seed)
-            best, winners = maximize_qp(encode_beta_max_qp(g))
-            _, tree_max = optimize_balanced(g, "beta", "max")
-            assert best.theta == tree_max
-            assert winners
-            p = g.n.bit_length() - 1
-            model = encode_beta_max_qp(g)
-            best_residual = max(
-                2 * (v.m - v.theta1 - v.theta2) - 2 * v.theta2
-                for v in (qp_objective(model, a) for a in iter_assignments(g.n))
-            )
-            assert best.theta == 2 * (p - 1) * g.m + best_residual
+    """With two levels below the root the same-block credit is exact: on
+    every assignment the QP objective is beta of the balanced tree with
+    children X1+X2 and X3+X4, and theta2 counts the edges inside the blocks.
+    So the exhaustive assignment maximum must agree with the tree maximum.
+    verify-lemma's lemma 5 check relies on this to skip the QP."""
+    rng = random.Random(5)
+    graphs = [random_pow2_graph(n, 1000 + seed) for n, seeds in ((4, range(8)), (8, range(4))) for seed in seeds]
+    graphs += [planted_independent_quarters(n, rng)[0] for n in (4, 4, 8)]
+    tree_of = {}
+    for n in (4, 8):
+        singletons = frozenset(1 << v for v in range(n))
+        built = {}  # assignments that differ only in the order of blocks share a tree
+        for assign in iter_assignments(n):
+            x1, x2, x3, x4 = (mask_of(v for v in range(n) if assign[v] == k) for k in range(1, 5))
+            clusters = singletons | {x1, x2, x3, x4, x1 | x2, x3 | x4, (1 << n) - 1}
+            if clusters not in built:
+                built[clusters] = ReassemblingTree.from_masks(n, clusters)
+            tree_of[assign] = built[clusters]
+    for g in graphs:
+        model = encode_beta_max_qp(g)
+        best, winners = maximize_qp(model)
+        _, tree_max = optimize_balanced(g, "beta", "max")
+        assert best.theta == tree_max
+        assert winners
+        residuals = []
+        for assign in iter_assignments(g.n):
+            value = qp_objective(model, assign)
+            residuals.append(2 * (value.m - value.theta1 - value.theta2) - 2 * value.theta2)
+            assert value.theta == measures(g, tree_of[assign]).beta
+            assert value.theta2 == _direct_theta_parts(g, assign)[1]
+        p = g.n.bit_length() - 1
+        assert best.theta == 2 * (p - 1) * g.m + max(residuals)
 
 
 def test_qp_maximization_cap():
